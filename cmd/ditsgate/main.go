@@ -72,7 +72,6 @@ func main() {
 	maxQueue := flag.Int("max-queue", 0, "max requests queued for an in-flight slot before shedding")
 	deadline := flag.Duration("deadline", 0, "per-request deadline propagated to the sources (0 = none)")
 	pprofFlag := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
-	codecFlag := flag.String("codec", "", "force one wire codec by name instead of negotiating the best (empty = negotiate)")
 	noCompress := flag.Bool("no-compress", false, "do not offer gzip compression when dialing sources")
 	logFile := flag.String("log-file", "", "append operational logs to this file instead of stderr")
 	logFormat := flag.String("log-format", "text", "structured log encoding: text or json")
@@ -102,13 +101,7 @@ func main() {
 	}
 	grid := geo.NewGrid(*theta, bounds)
 
-	dialCfg := transport.DialConfig{Codec: *codecFlag, NoCompress: *noCompress, NoTrace: *noTrace}
-	if *codecFlag != "" {
-		if _, ok := transport.LookupCodec(*codecFlag); !ok {
-			fail(fmt.Errorf("-codec: unknown codec %q (registered: %s)",
-				*codecFlag, strings.Join(transport.CodecNames(), ", ")))
-		}
-	}
+	dialCfg := transport.DialConfig{NoCompress: *noCompress, NoTrace: *noTrace}
 	gwOpts := gateway.Options{
 		Admission: admission.Config{
 			Rate:        *rateLimit,

@@ -110,7 +110,7 @@ func buildClusterWorld(cfg Config, numCenters int, replicas bool) (*clusterWorld
 		q = 64 // the drive loops over the set; a small set keeps it hot
 	}
 	w := &clusterWorld{
-		oracle:       newFederation(g, servers, opts, federation.BinaryCodec),
+		oracle:       newFederation(g, servers, opts),
 		queries:      federationQueries(sds, g, q, cfg.Seed),
 		centerSwitch: make(map[string]*benchSwitch, numCenters),
 	}
@@ -144,12 +144,8 @@ func buildClusterWorld(cfg Config, numCenters int, replicas bool) (*clusterWorld
 			return nil, err
 		}
 		w.centerServers = append(w.centerServers, cs)
-		var codec transport.Codec
-		if i%2 == 1 {
-			codec = federation.BinaryCodec
-		}
 		sw := &benchSwitch{inner: &transport.InProc{
-			Name: name, Handler: cs.Handler(), Metrics: &transport.Metrics{}, Codec: codec,
+			Name: name, Handler: cs.Handler(), Metrics: &transport.Metrics{},
 		}}
 		peers[name] = sw
 		w.centerSwitch[name] = sw

@@ -22,12 +22,11 @@ import (
 	"dits/internal/transport"
 )
 
-// FedcommSchema identifies the snapshot format. v2 adds the wire-codec
-// dimension: every entry is additionally keyed by the codec the peers
-// spoke, and the report carries the gob-vs-binary bytes headline.
+// FedcommSchema identifies the snapshot format. v2 keys every entry by
+// the wire codec the peers spoke as well.
 const FedcommSchema = "dits-bench-fedcomm/2"
 
-// FedcommEntry is one protocol × query-type × codec measurement.
+// FedcommEntry is one protocol × query-type measurement.
 type FedcommEntry struct {
 	Query         string                           `json:"query"`    // OJSP or CJSP
 	Protocol      string                           `json:"protocol"` // stateless or session
@@ -53,15 +52,10 @@ type FedcommReport struct {
 	Scale     float64        `json:"scale"`
 	Results   []FedcommEntry `json:"results"`
 	// CJSPBytesReduction is stateless bytes-per-query divided by session
-	// bytes-per-query under the binary codec — the headline number of the
-	// session protocol.
+	// bytes-per-query — the headline number of the session protocol.
 	CJSPBytesReduction float64 `json:"cjsp_bytes_reduction"`
 	// CJSPMsgsReduction is the same ratio for round-trips.
 	CJSPMsgsReduction float64 `json:"cjsp_msgs_reduction"`
-	// CodecBytesReduction is total gob bytes divided by total binary-codec
-	// bytes over the identical workload — the headline number of the
-	// binary wire codec.
-	CodecBytesReduction float64 `json:"codec_bytes_reduction"`
 }
 
 // fedcommEntry snapshots a center's metrics into one entry.
@@ -91,98 +85,70 @@ func RunFedcomm(cfg Config) (FedcommReport, []Table, error) {
 	servers, g, sds := buildSourceServers(cfg)
 	queries := federationQueries(sds, g, cfg.Q, cfg.Seed)
 
-	// The same workload runs under both wire codecs; answers must agree
-	// across codecs (differential check) and, per codec, across the
-	// stateless and session CJSP protocols (protocol parity).
-	codecs := []transport.Codec{federation.BinaryCodec, transport.GobCodec}
-	var ojspWant, cjspWant []any // answers recorded under the first codec
-	var gobBytes, binBytes int64
-	for ci, codec := range codecs {
-		stateless := newFederation(g, servers, federation.Options{GlobalFilter: true, ClipQuery: true}, codec)
-		session := newFederation(g, servers, federation.DefaultOptions(), codec)
+	stateless := newFederation(g, servers, federation.Options{GlobalFilter: true, ClipQuery: true})
+	session := newFederation(g, servers, federation.DefaultOptions())
+	codec := federation.BinaryCodecName
 
-		// OJSP: a single fan-out either way; measured for completeness so
-		// the snapshot covers the full protocol surface.
-		for _, p := range []struct {
-			name   string
-			center *federation.Center
-		}{{"stateless", stateless}, {"session", session}} {
-			p.center.Metrics.Reset()
-			for i, q := range queries {
-				rs, err := p.center.OverlapSearch(context.Background(), q, cfg.K)
-				if err != nil {
-					return report, nil, fmt.Errorf("bench: fedcomm OJSP (%s/%s): %w", p.name, codec.Name(), err)
-				}
-				if ci == 0 && p.name == "stateless" {
-					ojspWant = append(ojspWant, rs)
-				} else if !reflect.DeepEqual(any(rs), ojspWant[i]) {
-					return report, nil, fmt.Errorf(
-						"bench: fedcomm OJSP divergence on query %d (%s/%s)", i, p.name, codec.Name())
-				}
-			}
-			report.Results = append(report.Results,
-				fedcommEntry("OJSP", p.name, codec.Name(), len(queries), cfg.K, 0, p.center.Metrics))
-		}
-
-		// CJSP: run every query under both protocols with enforced parity.
-		stateless.Metrics.Reset()
-		session.Metrics.Reset()
+	// OJSP: a single fan-out either way; measured for completeness so the
+	// snapshot covers the full protocol surface.
+	var ojspWant []any // answers recorded under the stateless protocol
+	for _, p := range []struct {
+		name   string
+		center *federation.Center
+	}{{"stateless", stateless}, {"session", session}} {
+		p.center.Metrics.Reset()
 		for i, q := range queries {
-			a, err := stateless.CoverageSearch(context.Background(), q, cfg.Delta, cfg.K)
+			rs, err := p.center.OverlapSearch(context.Background(), q, cfg.K)
 			if err != nil {
-				return report, nil, fmt.Errorf("bench: fedcomm CJSP (stateless/%s): %w", codec.Name(), err)
+				return report, nil, fmt.Errorf("bench: fedcomm OJSP (%s): %w", p.name, err)
 			}
-			b, err := session.CoverageSearch(context.Background(), q, cfg.Delta, cfg.K)
-			if err != nil {
-				return report, nil, fmt.Errorf("bench: fedcomm CJSP (session/%s): %w", codec.Name(), err)
-			}
-			if !reflect.DeepEqual(a, b) {
-				return report, nil, fmt.Errorf(
-					"bench: fedcomm parity violation on query %d (%s): stateless %+v, session %+v",
-					i, codec.Name(), a, b)
-			}
-			if ci == 0 {
-				cjspWant = append(cjspWant, a)
-			} else if !reflect.DeepEqual(any(a), cjspWant[i]) {
-				return report, nil, fmt.Errorf(
-					"bench: fedcomm CJSP codec divergence on query %d (%s)", i, codec.Name())
+			if p.name == "stateless" {
+				ojspWant = append(ojspWant, rs)
+			} else if !reflect.DeepEqual(any(rs), ojspWant[i]) {
+				return report, nil, fmt.Errorf("bench: fedcomm OJSP divergence on query %d (%s)", i, p.name)
 			}
 		}
-		st := fedcommEntry("CJSP", "stateless", codec.Name(), len(queries), cfg.K, cfg.Delta, stateless.Metrics)
-		se := fedcommEntry("CJSP", "session", codec.Name(), len(queries), cfg.K, cfg.Delta, session.Metrics)
-		report.Results = append(report.Results, st, se)
-		if ci == 0 { // headline protocol reductions come from the binary codec
-			if se.BytesPerQuery > 0 {
-				report.CJSPBytesReduction = st.BytesPerQuery / se.BytesPerQuery
-			}
-			if se.MsgsPerQuery > 0 {
-				report.CJSPMsgsReduction = st.MsgsPerQuery / se.MsgsPerQuery
-			}
+		report.Results = append(report.Results,
+			fedcommEntry("OJSP", p.name, codec, len(queries), cfg.K, 0, p.center.Metrics))
+	}
+
+	// CJSP: run every query under both protocols with enforced parity.
+	stateless.Metrics.Reset()
+	session.Metrics.Reset()
+	for i, q := range queries {
+		a, err := stateless.CoverageSearch(context.Background(), q, cfg.Delta, cfg.K)
+		if err != nil {
+			return report, nil, fmt.Errorf("bench: fedcomm CJSP (stateless): %w", err)
+		}
+		b, err := session.CoverageSearch(context.Background(), q, cfg.Delta, cfg.K)
+		if err != nil {
+			return report, nil, fmt.Errorf("bench: fedcomm CJSP (session): %w", err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			return report, nil, fmt.Errorf(
+				"bench: fedcomm parity violation on query %d: stateless %+v, session %+v", i, a, b)
 		}
 	}
-	for _, e := range report.Results {
-		switch e.Codec {
-		case transport.CodecGob:
-			gobBytes += e.Bytes
-		default:
-			binBytes += e.Bytes
-		}
+	st := fedcommEntry("CJSP", "stateless", codec, len(queries), cfg.K, cfg.Delta, stateless.Metrics)
+	se := fedcommEntry("CJSP", "session", codec, len(queries), cfg.K, cfg.Delta, session.Metrics)
+	report.Results = append(report.Results, st, se)
+	if se.BytesPerQuery > 0 {
+		report.CJSPBytesReduction = st.BytesPerQuery / se.BytesPerQuery
 	}
-	if binBytes > 0 {
-		report.CodecBytesReduction = float64(gobBytes) / float64(binBytes)
+	if se.MsgsPerQuery > 0 {
+		report.CJSPMsgsReduction = st.MsgsPerQuery / se.MsgsPerQuery
 	}
 
 	t := Table{
 		ID:    "fedcomm",
-		Title: "Federation protocol: stateless broadcast vs session, gob vs binary wire codec",
+		Title: "Federation protocol: stateless broadcast vs session",
 		Header: []string{
 			"query", "protocol", "codec", "q", "k", "bytes/query", "msgs/query", "bytes total",
 		},
 		Notes: []string{
 			fmt.Sprintf("CJSP bytes reduction: %.2fx, round-trip reduction: %.2fx (k=%d, δ=%v, parity enforced).",
 				report.CJSPBytesReduction, report.CJSPMsgsReduction, cfg.K, cfg.Delta),
-			fmt.Sprintf("Codec bytes reduction (gob/binary, same workload): %.2fx.", report.CodecBytesReduction),
-			"Parity: identical answers required across both protocols and both wire codecs.",
+			"Parity: identical answers required across both protocols.",
 		},
 	}
 	for _, e := range report.Results {
@@ -236,8 +202,6 @@ func CompareFedcomm(base, cur FedcommReport) Table {
 			"drift = now/base bytes per query: < 1.00x ships fewer bytes than the snapshot.",
 			fmt.Sprintf("CJSP bytes reduction now %.2fx (snapshot %.2fx).",
 				cur.CJSPBytesReduction, base.CJSPBytesReduction),
-			fmt.Sprintf("Codec bytes reduction (gob/binary) now %.2fx (snapshot %.2fx).",
-				cur.CodecBytesReduction, base.CodecBytesReduction),
 		},
 	}
 	baseBy := make(map[string]FedcommEntry, len(base.Results))

@@ -233,9 +233,8 @@ func (c *Center) RegisterRemote(ctx context.Context, peer transport.Peer) (dits.
 }
 
 // PeerWire reports the negotiated wire parameters of every registered
-// source whose peer knows them (transport.Wired), keyed by source name —
-// the observability surface a mixed-codec rolling upgrade is watched
-// through (GET /stats).
+// source whose peer knows them (transport.Wired), keyed by source name,
+// for GET /stats.
 func (c *Center) PeerWire() map[string]transport.WireInfo {
 	ep := c.epoch.Load()
 	out := make(map[string]transport.WireInfo, len(ep.ordered))

@@ -44,8 +44,8 @@ type clusterPlane struct {
 }
 
 // buildClusterPlane wires numCenters CenterServers over the m sources of a
-// buildFederation world and shards them with a Cluster. Centers alternate
-// codecs so the cluster wire rides both gob and the binary passthrough.
+// buildFederation world and shards them with a Cluster. The cluster wire
+// rides the binary codec's gob passthrough.
 func buildClusterPlane(t *testing.T, seed int64, numCenters, m, perSource int) *clusterPlane {
 	t.Helper()
 	oracle, _, servers := buildFederation(rand.New(rand.NewSource(seed)), m, perSource, DefaultOptions())
@@ -72,12 +72,8 @@ func buildClusterPlane(t *testing.T, seed int64, numCenters, m, perSource int) *
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { cs.Close() })
-		var codec transport.Codec
-		if i%2 == 1 {
-			codec = BinaryCodec
-		}
 		sp := &switchPeer{inner: &transport.InProc{
-			Name: name, Handler: cs.Handler(), Metrics: &transport.Metrics{}, Codec: codec,
+			Name: name, Handler: cs.Handler(), Metrics: &transport.Metrics{},
 		}}
 		peers[name] = sp
 		switches[name] = sp

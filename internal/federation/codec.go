@@ -1,7 +1,9 @@
 package federation
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
@@ -12,16 +14,16 @@ import (
 	"dits/internal/transport"
 )
 
-// The versioned binary wire codec for the federation protocol —
-// negotiated per connection by the transport.hello handshake (wire name
-// BinaryCodecName), with gob remaining the fallback for legacy peers.
+// The versioned binary wire codec for the federation protocol — the one
+// payload codec of every connection, installed into transport at init and
+// checked by name (BinaryCodecName) in the transport.hello handshake.
 //
 // Every payload opens with one content tag: tagBin means a hand-written
 // binary message follows — a message-type byte (so a frame decoded as the
 // wrong type errors instead of misparsing) and then the message fields in
 // struct order — while tagGob means a gob stream follows, which is how
-// the binary codec carries any message type it has no native encoding
-// for (a method added later still works over a binary connection).
+// the codec carries the message types it has no native encoding for (the
+// cluster.* and wal.ship messages, and any method added later).
 //
 // Field primitives: unsigned ints are uvarints, signed ints are zigzag
 // varints, floats are 8 little-endian bytes of their IEEE-754 bits,
@@ -35,8 +37,8 @@ import (
 // return errors, never panic (FuzzCodec exercises exactly this).
 
 // BinaryCodecName is the binary codec's wire name. The trailing /1
-// versions the encoding itself: an incompatible revision would register
-// under /2 and negotiate independently.
+// versions the encoding itself: an incompatible revision would ship as /2,
+// and the handshake refuses a peer that names the other version.
 const BinaryCodecName = "dits-bin/1"
 
 const (
@@ -71,7 +73,7 @@ const (
 // BinaryCodec is the federation's binary wire codec.
 var BinaryCodec transport.Codec = binCodec{}
 
-func init() { transport.RegisterCodec(BinaryCodec) }
+func init() { transport.InstallCodec(BinaryCodec) }
 
 type binCodec struct{}
 
@@ -190,7 +192,11 @@ func (binCodec) Append(dst []byte, v any) ([]byte, error) {
 	default:
 		// No native encoding: carry the value as a tagged gob stream so
 		// new message types keep working over binary connections.
-		return transport.GobCodec.Append(append(dst, tagGob), v)
+		buf := bytes.NewBuffer(append(dst, tagGob))
+		if err := gob.NewEncoder(buf).Encode(v); err != nil {
+			return dst, fmt.Errorf("federation: codec: encode %T: %w", v, err)
+		}
+		return buf.Bytes(), nil
 	}
 }
 
@@ -203,7 +209,10 @@ func (binCodec) Decode(data []byte, v any) error {
 	}
 	tag, data := data[0], data[1:]
 	if tag == tagGob {
-		return transport.GobCodec.Decode(data, v)
+		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
+			return fmt.Errorf("federation: codec: decode %T: %w", v, err)
+		}
+		return nil
 	}
 	if tag != tagBin {
 		return fmt.Errorf("federation: codec: unknown content tag %d", tag)

@@ -1,6 +1,8 @@
 package federation
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"reflect"
 	"strings"
@@ -9,12 +11,11 @@ import (
 	"dits/internal/cellset"
 	"dits/internal/geo"
 	"dits/internal/index/dits"
-	"dits/internal/transport"
 )
 
 // codecTestMessages is one populated instance of every federation wire
-// message — the corpus for the gob/binary differential tests and the
-// fuzz seeds. Fields cover the edge shapes: nil and huge cell sets,
+// message — the corpus for the native/gob-passthrough differential tests
+// and the fuzz seeds. Fields cover the edge shapes: nil and huge cell sets,
 // negative ints, empty and non-ASCII strings.
 func codecTestMessages() []any {
 	big := make([]uint64, 0, 6000)
@@ -75,23 +76,42 @@ func fresh(m any) any {
 	return reflect.New(reflect.TypeOf(m).Elem()).Interface()
 }
 
+// gobStream gob-encodes m on its own, the body of a tagGob frame.
+func gobStream(t *testing.T, m any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestCodecDifferential: every message must round-trip identically
-// through the gob codec and through the binary codec — the binary wire
-// form may differ, but the decoded value must not.
+// through its native binary form and through the gob passthrough form —
+// the wire forms differ, but the decoded value must not.
 func TestCodecDifferential(t *testing.T) {
 	for _, m := range codecTestMessages() {
 		name := fmt.Sprintf("%T", m)
-		for _, codec := range []transport.Codec{transport.GobCodec, BinaryCodec} {
-			wire, err := codec.Append(nil, m)
-			if err != nil {
-				t.Fatalf("%s/%s: encode: %v", name, codec.Name(), err)
-			}
+		native, err := BinaryCodec.Append(nil, m)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", name, err)
+		}
+		if native[0] != tagBin {
+			t.Fatalf("%s: no native encoding (tag %q)", name, native[0])
+		}
+		for _, form := range []struct {
+			label string
+			wire  []byte
+		}{
+			{"native", native},
+			{"gob", append([]byte{tagGob}, gobStream(t, m)...)},
+		} {
 			got := fresh(m)
-			if err := codec.Decode(wire, got); err != nil {
-				t.Fatalf("%s/%s: decode: %v", name, codec.Name(), err)
+			if err := BinaryCodec.Decode(form.wire, got); err != nil {
+				t.Fatalf("%s/%s: decode: %v", name, form.label, err)
 			}
 			if !reflect.DeepEqual(got, m) {
-				t.Errorf("%s/%s: round trip diverged:\n got %+v\nwant %+v", name, codec.Name(), got, m)
+				t.Errorf("%s/%s: round trip diverged:\n got %+v\nwant %+v", name, form.label, got, m)
 			}
 		}
 	}
@@ -101,18 +121,15 @@ func TestCodecDifferential(t *testing.T) {
 // must undercut gob — the whole point of the codec.
 func TestCodecBinarySmaller(t *testing.T) {
 	for _, m := range codecTestMessages() {
-		gob, err := transport.GobCodec.Append(nil, m)
-		if err != nil {
-			t.Fatal(err)
-		}
+		gobWire := gobStream(t, m)
 		bin, err := BinaryCodec.Append(nil, m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Gob amortizes type descriptors across a stream; per-frame it
 		// re-ships them, so binary should never lose by more than noise.
-		if len(bin) > len(gob) {
-			t.Errorf("%T: binary %dB > gob %dB", m, len(bin), len(gob))
+		if len(bin) > len(gobWire) {
+			t.Errorf("%T: binary %dB > gob %dB", m, len(bin), len(gobWire))
 		}
 	}
 }

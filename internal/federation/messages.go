@@ -72,8 +72,8 @@ const (
 
 // Method names of the cluster protocol — the surface a CenterServer
 // exposes to the gateway's scatter/gather plane. All cluster request and
-// response types ride the transports' gob passthrough, so they need no
-// per-codec support.
+// response types ride the binary codec's gob passthrough (the 'G' tag),
+// so they need no native encoding.
 const (
 	// MethodClusterInfo is the health probe and shard audit: it reports the
 	// center's name, membership generation, and registered source names.

@@ -199,6 +199,31 @@ func TestRoundTripParity(t *testing.T) {
 	}
 }
 
+// TestEmptyIndexRoundTrip: an index with no datasets (a store bootstrapped
+// empty) snapshots and reloads, mapped and on the heap, with its grid and
+// leaf capacity intact.
+func TestEmptyIndexRoundTrip(t *testing.T) {
+	heap, _ := buildWorld(t, 0, 8, 5, 1)
+	path := writeSnap(t, heap)
+	r, err := Open(path, Options{MMap: true, VerifyData: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	hl, err := LoadHeap(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, got := range []*dits.Local{r.Index(), hl} {
+		if got.Len() != 0 || got.Grid != heap.Grid || got.F != heap.F {
+			t.Fatalf("empty round trip: %d datasets, grid %v, f %d", got.Len(), got.Grid, got.F)
+		}
+		if err := got.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestWriterDeterministic pins byte-stable output: two writes of one
 // index are identical, so snapshot checksums are reproducible.
 func TestWriterDeterministic(t *testing.T) {

@@ -16,9 +16,9 @@ const manifestSchema = "dits-ingest-manifest/1"
 // manifestName is the manifest's filename inside the store directory.
 const manifestName = "MANIFEST"
 
-// formatDSnap marks a snapshot in the binary ditsfile format. The empty
-// string is the legacy gob encoding: manifests written before the format
-// field existed carry no format, and those snapshots must keep loading.
+// formatDSnap marks a snapshot in the binary ditsfile format, the only
+// one a store reads. Manifests written before the format field existed
+// name a gob snapshot; Open refuses them.
 const formatDSnap = "dsnap/1"
 
 // manifest commits a snapshot: it names the snapshot file and records the
@@ -28,7 +28,7 @@ const formatDSnap = "dsnap/1"
 type manifest struct {
 	Schema   string `json:"schema"`
 	Snapshot string `json:"snapshot"`         // snapshot filename within the store dir
-	Format   string `json:"format,omitempty"` // snapshot encoding; "" = legacy gob
+	Format   string `json:"format,omitempty"` // snapshot encoding, always formatDSnap
 	Seq      uint64 `json:"seq"`              // last mutation included in the snapshot
 	Version  uint64 `json:"version"`          // data version at the snapshot point
 }
@@ -53,7 +53,11 @@ func readManifest(dir string) (*manifest, error) {
 	if m.Snapshot == "" || m.Snapshot != filepath.Base(m.Snapshot) {
 		return nil, fmt.Errorf("ingest: manifest names invalid snapshot %q", m.Snapshot)
 	}
-	if m.Format != "" && m.Format != formatDSnap {
+	if m.Format == "" {
+		return nil, fmt.Errorf("ingest: manifest names legacy gob snapshot %q (no format field); "+
+			"this build reads only %s snapshots, so rebuild the store from its source", m.Snapshot, formatDSnap)
+	}
+	if m.Format != formatDSnap {
 		return nil, fmt.Errorf("ingest: manifest has unknown snapshot format %q", m.Format)
 	}
 	return &m, nil

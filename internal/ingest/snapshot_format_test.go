@@ -1,75 +1,46 @@
 package ingest
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
-// TestLegacyGobSnapshotLoads pins backward compatibility: a store
-// directory whose manifest predates the binary snapshot format (no format
-// field, snap-<seq>.gob payload) must recover, and its next compaction
-// must migrate it to the binary format.
-func TestLegacyGobSnapshotLoads(t *testing.T) {
+// TestLegacyGobSnapshotRejected: a store directory whose manifest
+// predates the dsnap format (no format field, snap-<seq>.gob payload) must
+// fail Open with an error naming the legacy format — not bootstrap or
+// serve an empty index, and not delete the operator's gob file.
+func TestLegacyGobSnapshotRejected(t *testing.T) {
 	dir := t.TempDir()
-	idx, err := bootstrap(testSeedDatasets, testSeed)()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := searchFingerprint(t, idx)
-
-	// Hand-build the legacy layout: gob snapshot + format-less manifest.
 	snapName := fmt.Sprintf("snap-%016d.gob", 0)
-	f, err := os.Create(filepath.Join(dir, snapName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := idx.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	snapPath := filepath.Join(dir, snapName)
+	payload := []byte("gob-encoded index snapshot")
+	if err := os.WriteFile(snapPath, payload, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := writeManifest(dir, manifest{Snapshot: snapName, Seq: 0, Version: 0}); err != nil {
 		t.Fatal(err)
 	}
-
-	st, err := Open(dir, Options{Fsync: FsyncNever, SnapshotEvery: -1})
-	if err != nil {
-		t.Fatalf("open legacy store: %v", err)
+	// Twice: a refused Open must release the directory lock.
+	for i := 0; i < 2; i++ {
+		st, err := Open(dir, Options{Fsync: FsyncNever, Bootstrap: bootstrap(testSeedDatasets, testSeed)})
+		if err == nil {
+			st.Close()
+			t.Fatal("legacy gob manifest opened")
+		}
+		if !strings.Contains(err.Error(), "legacy gob") || !strings.Contains(err.Error(), snapName) {
+			t.Fatalf("error does not name the legacy snapshot: %v", err)
+		}
 	}
-	if got := searchFingerprint(t, st.Index()); !reflect.DeepEqual(got, want) {
-		t.Fatal("legacy gob snapshot recovered different results")
+	if got, err := os.ReadFile(snapPath); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("legacy snapshot not left intact: %q, %v", got, err)
 	}
-	// Mutate and compact: the store must move to the binary format and
-	// clean the legacy file up.
-	applyToStore(t, st, genMutations(10, 8, testSeedDatasets), 10)
-	if err := st.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	afterSnap := searchFingerprint(t, st.Index())
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	man, err := readManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if man.Format != formatDSnap {
-		t.Fatalf("post-compaction manifest format = %q, want %q", man.Format, formatDSnap)
-	}
-	if gobs, _ := filepath.Glob(filepath.Join(dir, "snap-*.gob")); len(gobs) != 0 {
-		t.Fatalf("legacy snapshots not reclaimed: %v", gobs)
-	}
-	re, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if got := searchFingerprint(t, re.Index()); !reflect.DeepEqual(got, afterSnap) {
-		t.Fatal("migrated store recovered different results")
+	if dsnaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.dsnap")); len(dsnaps) != 0 {
+		t.Fatalf("refused store wrote snapshots: %v", dsnaps)
 	}
 }
 

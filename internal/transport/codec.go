@@ -1,19 +1,11 @@
 package transport
 
-import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-	"slices"
-	"sync"
-)
+import "sync/atomic"
 
-// Codec turns request/response values into payload bytes and back. The
-// wire codec is a per-connection property negotiated at dial time (see
-// the transport.hello exchange in tcp.go): both ends of a connection
-// always agree on one codec, and a center talking to a mixed fleet may
-// hold binary connections to upgraded sources and gob connections to
-// legacy ones at the same time.
+// Codec turns request/response values into payload bytes and back.
+// Every connection speaks the one codec installed with InstallCodec —
+// the federation's dits-bin/1 — and the transport.hello exchange (see
+// tcp.go) checks that both ends of a TCP connection name the same one.
 //
 // Append appends the encoding of v to dst and returns the extended
 // slice, so hot paths can reuse one buffer across calls without
@@ -26,90 +18,27 @@ type Codec interface {
 	Decode(data []byte, v any) error
 }
 
-// CodecGob is the wire name of the gob codec — the protocol's original
-// encoding and the fallback every peer must speak.
-const CodecGob = "gob"
+var installed atomic.Pointer[Codec]
 
-// GobCodec encodes payloads with encoding/gob. It is the codec of every
-// connection whose handshake did not (or could not) negotiate anything
-// better, which keeps legacy peers interoperable.
-var GobCodec Codec = gobCodec{}
-
-type gobCodec struct{}
-
-func (gobCodec) Name() string { return CodecGob }
-
-func (gobCodec) Append(dst []byte, v any) ([]byte, error) {
-	if v == nil {
-		return dst, nil
+// InstallCodec makes c the payload codec of every peer and server in the
+// process. The federation package installs its binary codec from init;
+// transport cannot import it. Installing the codec already installed is
+// a no-op, and installing a different one panics: a process speaks one
+// codec.
+func InstallCodec(c Codec) {
+	if installed.CompareAndSwap(nil, &c) {
+		return
 	}
-	buf := bytes.NewBuffer(dst)
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
-		return dst, fmt.Errorf("transport: encode: %w", err)
+	if cur := *installed.Load(); cur != c {
+		panic("transport: codec " + cur.Name() + " already installed, cannot install " + c.Name())
 	}
-	return buf.Bytes(), nil
 }
 
-func (gobCodec) Decode(data []byte, v any) error {
-	if v == nil {
-		return nil
+// wireCodec returns the installed codec.
+func wireCodec() Codec {
+	c := installed.Load()
+	if c == nil {
+		panic("transport: no codec installed (import dits/internal/federation)")
 	}
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
-		return fmt.Errorf("transport: decode: %w", err)
-	}
-	return nil
-}
-
-var (
-	codecMu sync.RWMutex
-	codecs  = map[string]Codec{CodecGob: GobCodec}
-)
-
-// RegisterCodec makes a codec available for connection negotiation under
-// its Name. Packages that define codecs register them from init (the
-// federation package registers its binary codec this way); registering
-// two codecs with the same name panics.
-func RegisterCodec(c Codec) {
-	codecMu.Lock()
-	defer codecMu.Unlock()
-	if _, dup := codecs[c.Name()]; dup && c.Name() != CodecGob {
-		panic("transport: duplicate codec " + c.Name())
-	}
-	codecs[c.Name()] = c
-}
-
-// LookupCodec returns the registered codec with the given wire name.
-func LookupCodec(name string) (Codec, bool) {
-	codecMu.RLock()
-	defer codecMu.RUnlock()
-	c, ok := codecs[name]
-	return c, ok
-}
-
-// CodecNames returns every registered codec name in the default
-// negotiation-preference order: non-gob codecs first (sorted, so the
-// order is deterministic regardless of registration order), gob last.
-func CodecNames() []string {
-	codecMu.RLock()
-	defer codecMu.RUnlock()
-	names := make([]string, 0, len(codecs))
-	for name := range codecs {
-		if name != CodecGob {
-			names = append(names, name)
-		}
-	}
-	slices.Sort(names)
-	return append(names, CodecGob)
-}
-
-// Encode gob-encodes a value into a payload. It is the codec-less helper
-// kept for persistence formats and tests; wire traffic goes through the
-// connection's negotiated Codec instead.
-func Encode(v any) ([]byte, error) {
-	return GobCodec.Append(nil, v)
-}
-
-// Decode gob-decodes a payload into v.
-func Decode(body []byte, v any) error {
-	return GobCodec.Decode(body, v)
+	return *c
 }

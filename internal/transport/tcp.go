@@ -31,14 +31,12 @@ import (
 // is abandoned at the source too.
 //
 // The first request a dialer sends is a transport.hello exchange that
-// negotiates the connection's codec and options (see hello below);
-// everything after it is encoded with the negotiated codec, and on
+// checks both ends speak the installed codec and negotiates the
+// connection's options (see hello below); a mismatch fails the dial.
+// Everything after it is encoded with that codec, and on
 // compression-negotiated connections bodies and OK payloads carry the
-// one-byte compression flag (compress.go). A legacy server answers the
-// hello with status 1 ("unknown method"), which the dialer takes as
-// "speak gob, uncompressed" — and a legacy dialer never sends a hello,
-// which leaves the server side at the same default. Error payloads are
-// always raw text.
+// one-byte compression flag (compress.go). Error payloads are always raw
+// text.
 //
 // When both ends negotiate the "trace" option, every post-hello exchange
 // grows one extra frame per direction: requests append a trace-context
@@ -46,41 +44,33 @@ import (
 // body, and responses append a span frame (obs.AppendSpans — the spans
 // the server completed while handling the request, empty when untraced)
 // after the payload, on both OK and error responses. A connection that
-// did not negotiate "trace" carries exactly the pre-trace framing, so
-// legacy peers interoperate untouched — the caller then records an
-// explicit "untraced" span instead (see Call).
+// did not negotiate "trace" carries exactly the untraced framing — the
+// caller then records an explicit "untraced" span instead (see Call).
 
 // maxFrame caps a frame payload to guard against corrupt length prefixes.
 const maxFrame = 1 << 30
 
-// MethodHello is the reserved method name of the codec negotiation
-// exchange. Servers intercept it before application dispatch; it never
-// reaches a Handler on a server that understands it.
+// MethodHello is the reserved method name of the handshake exchange.
+// Servers intercept it before application dispatch; it never reaches a
+// Handler.
 const MethodHello = "transport.hello"
 
 // helloMagic versions the hello body format itself. The body is ASCII:
 //
-//	dits-hello/1 <codec1,codec2,...> <option1,option2,...|->
+//	dits-hello/1 <codec> <option1,option2,...|->
 //
-// and the reply payload is "<codec>" or "<codec> gzip". Unknown magics,
-// codecs, and options are ignored, so future dialers degrade gracefully
-// against this server.
+// and the reply payload is the codec followed by the accepted options,
+// space-separated ("dits-bin/1 gzip trace"). The codec field is a version
+// check: a body naming any other codec, or one that does not parse, gets
+// an error reply and the server closes the connection. Unknown options
+// are ignored.
 const helloMagic = "dits-hello/1"
 
 // ServeConfig tunes a server's negotiation behavior.
 type ServeConfig struct {
-	// Codecs is the allow-list of codec names offered to dialers; nil
-	// allows every registered codec. Gob is always allowed — it is the
-	// floor every peer can speak.
-	Codecs []string
 	// NoCompress refuses the compression option regardless of what
 	// dialers propose.
 	NoCompress bool
-	// NoNegotiate makes the server behave like a legacy build: hello
-	// requests fall through to the application handler (which rejects
-	// them as an unknown method), so dialers fall back to gob. It exists
-	// for interop tests and emergency rollback to the old wire behavior.
-	NoNegotiate bool
 	// NoTrace refuses the trace option: requests are served untraced
 	// even when the dialer proposes trace propagation.
 	NoTrace bool
@@ -88,19 +78,6 @@ type ServeConfig struct {
 	// for this process's own GET /debug/traces (ditsserve and ditscenter
 	// wire their -metrics-addr recorder here).
 	Recorder *obs.Recorder
-}
-
-// allows reports whether the server may pick the named codec.
-func (cfg *ServeConfig) allows(name string) bool {
-	if name == CodecGob || cfg.Codecs == nil {
-		return true
-	}
-	for _, n := range cfg.Codecs {
-		if n == name {
-			return true
-		}
-	}
-	return false
 }
 
 // Server serves one data source's Handler over TCP.
@@ -116,7 +93,7 @@ type Server struct {
 }
 
 // Serve starts a TCP server on addr (e.g. "127.0.0.1:0") for the handler,
-// negotiating freely: every registered codec, compression allowed.
+// with compression and trace propagation allowed.
 func Serve(addr string, handler Handler) (*Server, error) {
 	return ServeWith(addr, handler, ServeConfig{})
 }
@@ -195,7 +172,7 @@ func (s *Server) acceptLoop() {
 func (s *Server) serveConn(conn net.Conn) {
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
-	codec := GobCodec
+	codec := wireCodec()
 	compress := false
 	traced := false // the connection negotiated the trace option
 	var methodBuf, bodyBuf, respBuf, cmpBuf, traceBuf, spansBuf []byte
@@ -236,9 +213,13 @@ func (s *Server) serveConn(conn net.Conn) {
 			method = string(methodBuf)
 			names[method] = method
 		}
-		if method == MethodHello && !s.cfg.NoNegotiate && !traced {
-			var reply []byte
-			reply, codec, compress, traced = s.negotiate(bodyBuf)
+		if method == MethodHello && !traced {
+			reply, gz, tr, err := s.negotiate(codec, bodyBuf)
+			if err != nil {
+				writeResponse(w, 1, []byte(err.Error()))
+				return // a refused handshake ends the connection
+			}
+			compress, traced = gz, tr
 			if err := writeResponse(w, 0, reply); err != nil {
 				return
 			}
@@ -305,36 +286,25 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// negotiate picks the connection's codec and options from a hello body:
-// the first proposed codec that is registered and allowed wins, and an
-// option (gzip compression, trace propagation) turns on iff proposed and
-// permitted. Anything unparseable falls back to gob uncompressed — never
-// an error, so a malformed or future hello still yields a working
-// connection. The reply lists the accepted options space-separated after
-// the codec ("gob gzip trace"): a pre-trace dialer looks only for "gzip"
-// in the second field and never proposes "trace", so it is never
-// surprised by the extra token.
-func (s *Server) negotiate(body []byte) (reply []byte, codec Codec, compress, trace bool) {
-	codec = GobCodec
+// negotiate checks a hello body against the server's codec and picks the
+// connection's options: an option (gzip compression, trace propagation)
+// turns on iff proposed and permitted. A body that does not parse or
+// names another codec is an error naming what arrived.
+func (s *Server) negotiate(codec Codec, body []byte) (reply []byte, compress, trace bool, err error) {
 	fields := strings.Fields(string(body))
-	if len(fields) >= 2 && fields[0] == helloMagic {
-		for _, name := range strings.Split(fields[1], ",") {
-			if !s.cfg.allows(name) {
-				continue
-			}
-			if c, ok := LookupCodec(name); ok {
-				codec = c
-				break
-			}
-		}
-		if len(fields) >= 3 {
-			for _, opt := range strings.Split(fields[2], ",") {
-				switch {
-				case opt == "gzip" && !s.cfg.NoCompress:
-					compress = true
-				case opt == "trace" && !s.cfg.NoTrace:
-					trace = true
-				}
+	if len(fields) < 2 || len(fields) > 3 || fields[0] != helloMagic {
+		return nil, false, false, fmt.Errorf("transport: malformed hello %.64q", body)
+	}
+	if fields[1] != codec.Name() {
+		return nil, false, false, fmt.Errorf("transport: hello names codec %.64q, server speaks %q", fields[1], codec.Name())
+	}
+	if len(fields) == 3 {
+		for _, opt := range strings.Split(fields[2], ",") {
+			switch {
+			case opt == "gzip" && !s.cfg.NoCompress:
+				compress = true
+			case opt == "trace" && !s.cfg.NoTrace:
+				trace = true
 			}
 		}
 	}
@@ -345,7 +315,7 @@ func (s *Server) negotiate(body []byte) (reply []byte, codec Codec, compress, tr
 	if trace {
 		resp += " trace"
 	}
-	return []byte(resp), codec, compress, trace
+	return []byte(resp), compress, trace, nil
 }
 
 // readFrameReuse reads one length-prefixed frame into buf, growing it
@@ -393,15 +363,8 @@ func writeResponse(w *bufio.Writer, status byte, payload []byte) error {
 
 // DialConfig tunes a dialer's negotiation behavior.
 type DialConfig struct {
-	// Codec proposes exactly one codec by name instead of the default
-	// preference list (every registered codec, gob last).
-	Codec string
 	// NoCompress withholds the gzip option from the handshake.
 	NoCompress bool
-	// NoNegotiate skips the handshake entirely and speaks legacy gob —
-	// how a pre-handshake dialer behaves. It exists for interop tests and
-	// emergency rollback to the old wire behavior.
-	NoNegotiate bool
 	// NoTrace withholds the trace option from the handshake; calls on
 	// the connection are then recorded with an "untraced" marker span.
 	NoTrace bool
@@ -424,9 +387,8 @@ type TCPPeer struct {
 	trace    bool // the connection negotiated trace propagation
 }
 
-// Dial connects to a source server and negotiates the wire codec: the
-// best registered codec both ends speak, compression allowed, with
-// graceful fallback to uncompressed gob against a legacy server.
+// Dial connects to a source server, checks that it speaks the installed
+// codec, and negotiates compression and trace propagation.
 func Dial(name, addr string, metrics *Metrics) (*TCPPeer, error) {
 	return DialWith(name, addr, metrics, DialConfig{})
 }
@@ -443,32 +405,20 @@ func DialWith(name, addr string, metrics *Metrics, cfg DialConfig) (*TCPPeer, er
 		conn:    conn,
 		r:       bufio.NewReader(conn),
 		w:       bufio.NewWriter(conn),
-		codec:   GobCodec,
+		codec:   wireCodec(),
 	}
-	if !cfg.NoNegotiate {
-		if err := p.hello(cfg); err != nil {
-			conn.Close()
-			return nil, err
-		}
+	if err := p.hello(cfg); err != nil {
+		conn.Close()
+		return nil, err
 	}
 	return p, nil
 }
 
-// hello runs the codec negotiation as the connection's first exchange. A
-// status-1 reply means the server predates negotiation (it rejected the
-// method); the peer then speaks uncompressed gob, exactly as before the
-// handshake existed.
+// hello runs the handshake as the connection's first exchange. The
+// server must answer OK with this peer's codec; a refusal or any other
+// codec fails the dial.
 func (p *TCPPeer) hello(cfg DialConfig) error {
-	names := CodecNames()
-	if cfg.Codec != "" {
-		// A forced codec is strict: it must exist locally and the server
-		// must accept it — no silent fallback, so an operator pinning a
-		// codec finds out immediately when a peer cannot speak it.
-		if _, ok := LookupCodec(cfg.Codec); !ok {
-			return fmt.Errorf("transport: hello %s: unknown codec %q", p.Name, cfg.Codec)
-		}
-		names = []string{cfg.Codec}
-	}
+	name := p.codec.Name()
 	var propose []string
 	if !cfg.NoCompress {
 		propose = append(propose, "gzip")
@@ -480,7 +430,7 @@ func (p *TCPPeer) hello(cfg DialConfig) error {
 	if len(propose) > 0 {
 		opts = strings.Join(propose, ",")
 	}
-	body := []byte(helloMagic + " " + strings.Join(names, ",") + " " + opts)
+	body := []byte(helloMagic + " " + name + " " + opts)
 	p.conn.SetDeadline(time.Now().Add(helloTimeout))
 	defer p.conn.SetDeadline(time.Time{})
 	if err := writeFrame(p.w, []byte(MethodHello)); err != nil {
@@ -505,26 +455,12 @@ func (p *TCPPeer) hello(cfg DialConfig) error {
 		return fmt.Errorf("transport: hello %s: %w", p.Name, err)
 	}
 	if status != 0 {
-		if cfg.Codec != "" && cfg.Codec != CodecGob {
-			return fmt.Errorf("transport: hello %s: server cannot negotiate forced codec %q", p.Name, cfg.Codec)
-		}
-		// Legacy server: it saw an unknown method. Speak gob, plain.
-		p.codec, p.compress = GobCodec, false
-		return nil
+		return fmt.Errorf("transport: hello %s: server refused codec %q: %.200s", p.Name, name, payload)
 	}
 	fields := strings.Fields(string(payload))
-	if len(fields) == 0 {
-		return fmt.Errorf("transport: hello %s: empty negotiation reply", p.Name)
+	if len(fields) == 0 || fields[0] != name {
+		return fmt.Errorf("transport: hello %s: server replied %.64q, want codec %q", p.Name, payload, name)
 	}
-	if cfg.Codec != "" && fields[0] != cfg.Codec {
-		return fmt.Errorf("transport: hello %s: server refused forced codec %q (offered %q)", p.Name, cfg.Codec, fields[0])
-	}
-	codec, ok := LookupCodec(fields[0])
-	if !ok {
-		return fmt.Errorf("transport: hello %s: server chose unknown codec %q", p.Name, fields[0])
-	}
-	p.codec = codec
-	p.compress, p.trace = false, false
 	for _, f := range fields[1:] {
 		for _, opt := range strings.Split(f, ",") {
 			switch opt {
@@ -553,9 +489,9 @@ func (p *TCPPeer) WireInfo() WireInfo {
 // On a traced context the exchange is recorded as an "rpc:<method>" span.
 // When the connection negotiated trace propagation the trace follows the
 // request to the server and the server's spans come back merged into the
-// caller's trace; against a legacy (or NoTrace) connection the rpc span
-// instead gets an explicit "untraced" child marking where visibility
-// ends.
+// caller's trace; on a connection without it (NoTrace on either end)
+// the rpc span instead gets an explicit "untraced" child marking where
+// visibility ends.
 func (p *TCPPeer) Call(ctx context.Context, method string, req, resp any) error {
 	tr, _ := obs.Current(ctx)
 	sctx, sp := obs.StartSpan(ctx, "rpc:"+method)

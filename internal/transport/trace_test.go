@@ -13,11 +13,6 @@ import (
 // tracingHandler records one handler-side span, so propagation tests can
 // assert that server work shows up in the caller's trace.
 func tracingHandler(ctx context.Context, codec Codec, method string, body []byte) (any, error) {
-	if method == MethodHello {
-		// A real application handler rejects the hello as an unknown
-		// method — that status-1 reply is the legacy fallback signal.
-		return nil, errors.New("unknown method")
-	}
 	_, sp := obs.StartSpan(ctx, "handler.work")
 	time.Sleep(time.Millisecond)
 	sp.End()
@@ -117,6 +112,9 @@ func TestTCPTraceUntracedRequestOnTracedConn(t *testing.T) {
 	}
 }
 
+// TestTCPTraceLegacyPeerGetsUntracedMarker: on a connection without trace
+// propagation (NoTrace on either end) the caller records an "untraced"
+// marker under the rpc span instead of the server's spans.
 func TestTCPTraceLegacyPeerGetsUntracedMarker(t *testing.T) {
 	cases := []struct {
 		name string
@@ -125,8 +123,6 @@ func TestTCPTraceLegacyPeerGetsUntracedMarker(t *testing.T) {
 	}{
 		{"server refuses trace", ServeConfig{NoTrace: true}, DialConfig{}},
 		{"dialer withholds trace", ServeConfig{}, DialConfig{NoTrace: true}},
-		{"legacy server", ServeConfig{NoNegotiate: true}, DialConfig{}},
-		{"legacy dialer", ServeConfig{}, DialConfig{NoNegotiate: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -158,7 +154,7 @@ func TestTCPTraceLegacyPeerGetsUntracedMarker(t *testing.T) {
 				t.Fatalf("missing or wrong untraced marker; have %v", spans)
 			}
 			if _, ok := spans["serve:work"]; ok {
-				t.Error("legacy connection should not merge server spans")
+				t.Error("untraced connection should not merge server spans")
 			}
 		})
 	}
@@ -216,12 +212,13 @@ func TestHelloReplyBackwardCompatible(t *testing.T) {
 	// and "gzip" as a standalone token, exactly where a pre-trace dialer
 	// looks for them.
 	s := &Server{cfg: ServeConfig{}}
-	reply, _, compress, trace := s.negotiate([]byte(helloMagic + " gob gzip,trace"))
-	if !compress || !trace {
-		t.Fatalf("negotiate: compress=%v trace=%v", compress, trace)
+	name := stringCodec{}.Name()
+	reply, compress, trace, err := s.negotiate(stringCodec{}, []byte(helloMagic+" "+name+" gzip,trace"))
+	if err != nil || !compress || !trace {
+		t.Fatalf("negotiate: compress=%v trace=%v err=%v", compress, trace, err)
 	}
 	fields := strings.Fields(string(reply))
-	if len(fields) != 3 || fields[0] != "gob" || fields[1] != "gzip" || fields[2] != "trace" {
+	if len(fields) != 3 || fields[0] != name || fields[1] != "gzip" || fields[2] != "trace" {
 		t.Fatalf("reply = %q", reply)
 	}
 }

@@ -7,10 +7,10 @@
 // several TCP connections to one source. Transmission time over a given
 // bandwidth follows the paper's model: time = bytes / bandwidth.
 //
-// Payload encoding is a per-connection property: TCP connections
-// negotiate a Codec (and optional compression) in a transport.hello
-// exchange at dial time, falling back to gob against legacy peers, so a
-// rolling upgrade can mix codecs freely — see docs/PROTOCOL.md.
+// Every payload is encoded with the one installed Codec (dits-bin/1).
+// TCP connections open with a transport.hello exchange that checks both
+// ends speak it and negotiates optional compression and trace
+// propagation — see docs/PROTOCOL.md.
 //
 // Every Call carries a context: a deadline set by the caller (the
 // gateway's per-request admission deadline, typically) propagates over
@@ -29,9 +29,9 @@ import (
 )
 
 // Handler serves one source's requests: it receives the connection's
-// negotiated codec, a method name, and the encoded request body, and
-// returns a response value the transport encodes with the same codec (a
-// nil response encodes as an empty payload). The context carries the
+// codec, a method name, and the encoded request body, and returns a
+// response value the transport encodes with the same codec (a nil
+// response encodes as an empty payload). The context carries the
 // caller's remaining deadline (propagated over the wire for TCP
 // transports); handlers pass it to cancellable work like the parallel
 // executor.
@@ -54,8 +54,8 @@ func (e *RemoteError) Error() string {
 // Peer is a connection to one data source.
 type Peer interface {
 	// Call sends req and decodes the source's answer into resp, both
-	// through the connection's negotiated codec (a nil req sends an empty
-	// body; a nil resp discards the payload). The context's deadline
+	// through the connection's codec (a nil req sends an empty body; a
+	// nil resp discards the payload). The context's deadline
 	// bounds the whole exchange and is shipped to the source.
 	Call(ctx context.Context, method string, req, resp any) error
 	// Close releases the connection.
@@ -73,8 +73,8 @@ type WireInfo struct {
 }
 
 // Wired is implemented by peers that know their negotiated wire
-// parameters; observability surfaces (GET /stats) use it to report the
-// per-peer codec during mixed-codec rolling upgrades.
+// parameters; observability surfaces (GET /stats) use it to report each
+// peer's codec, compression, and trace propagation.
 type Wired interface {
 	WireInfo() WireInfo
 }
@@ -268,9 +268,8 @@ type InProc struct {
 	Name    string
 	Handler Handler
 	Metrics *Metrics
-	// Codec selects the encoding payloads cross the boundary in; nil
-	// means gob, matching an unnegotiated TCP connection. Benchmarks set
-	// it to measure both codecs on the same workload.
+	// Codec is the encoding payloads cross the boundary in; nil means
+	// the installed codec, the one every TCP connection speaks.
 	Codec Codec
 }
 
@@ -278,7 +277,7 @@ func (p *InProc) codec() Codec {
 	if p.Codec != nil {
 		return p.Codec
 	}
-	return GobCodec
+	return wireCodec()
 }
 
 // Call implements Peer. The context (trace included) flows directly into

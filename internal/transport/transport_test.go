@@ -1,8 +1,12 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"errors"
+	"fmt"
+	"io"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -37,29 +41,6 @@ func echo(t *testing.T, p Peer, method, payload string) string {
 	return resp
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	type msg struct {
-		K     int
-		Cells []uint64
-		Name  string
-	}
-	in := msg{K: 7, Cells: []uint64{1, 5, 9}, Name: "q"}
-	b, err := Encode(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out msg
-	if err := Decode(b, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.K != in.K || out.Name != in.Name || len(out.Cells) != 3 || out.Cells[2] != 9 {
-		t.Fatalf("round trip mismatch: %+v", out)
-	}
-	if err := Decode([]byte("garbage"), &out); err == nil {
-		t.Error("Decode of garbage should error")
-	}
-}
-
 func TestInProcCountsBytes(t *testing.T) {
 	m := &Metrics{}
 	p := &InProc{Name: "s1", Handler: echoHandler, Metrics: m}
@@ -69,12 +50,10 @@ func TestInProcCountsBytes(t *testing.T) {
 	if m.Messages() != 1 {
 		t.Errorf("Messages = %d, want 1", m.Messages())
 	}
-	reqBytes, _ := Encode("world")
-	if m.BytesSent() != int64(len(reqBytes)+len("hello")) {
+	if m.BytesSent() != int64(len("world")+len("hello")) {
 		t.Errorf("BytesSent = %d", m.BytesSent())
 	}
-	respBytes, _ := Encode("hello:world")
-	if m.BytesReceived() != int64(len(respBytes)) {
+	if m.BytesReceived() != int64(len("hello:world")) {
 		t.Errorf("BytesReceived = %d", m.BytesReceived())
 	}
 	if err := p.Call(context.Background(), "fail", nil, nil); err == nil || !strings.Contains(err.Error(), "boom") {
@@ -84,8 +63,8 @@ func TestInProcCountsBytes(t *testing.T) {
 	if m.Messages() != 1 {
 		t.Errorf("failed call counted: %d", m.Messages())
 	}
-	if info := p.WireInfo(); info.Codec != CodecGob || info.Compression {
-		t.Errorf("WireInfo = %+v, want plain gob", info)
+	if info := p.WireInfo(); info.Codec != (stringCodec{}).Name() || info.Compression {
+		t.Errorf("WireInfo = %+v, want the installed codec, uncompressed", info)
 	}
 	p.Close()
 }
@@ -190,93 +169,163 @@ func TestTCPRoundTrip(t *testing.T) {
 }
 
 // TestTCPNegotiation pins the handshake outcomes: a default dial against a
-// default server negotiates the preferred non-gob codec with compression,
-// and both sides expose the agreement through WireInfo.
+// default server agrees on the installed codec with compression and trace
+// on, and NoCompress on either end turns compression off but keeps the
+// codec.
 func TestTCPNegotiation(t *testing.T) {
-	reverse := reverseCodec{}
-	RegisterCodec(reverse)
-	srv, err := Serve("127.0.0.1:0", func(ctx context.Context, codec Codec, method string, body []byte) (any, error) {
-		var s string
-		if err := codec.Decode(body, &s); err != nil {
-			return nil, err
+	name := stringCodec{}.Name()
+	for _, tc := range []struct {
+		label    string
+		scfg     ServeConfig
+		dcfg     DialConfig
+		compress bool
+	}{
+		{"default", ServeConfig{}, DialConfig{}, true},
+		{"server NoCompress", ServeConfig{NoCompress: true}, DialConfig{}, false},
+		{"dialer NoCompress", ServeConfig{}, DialConfig{NoCompress: true}, false},
+	} {
+		srv, err := ServeWith("127.0.0.1:0", echoHandler, tc.scfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		out := method + ":" + s
-		return &out, nil
-	})
+		peer, err := DialWith("s1", srv.Addr(), &Metrics{}, tc.dcfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.label, err)
+		}
+		want := WireInfo{Codec: name, Compression: tc.compress, Trace: true}
+		if info := peer.WireInfo(); info != want {
+			t.Errorf("%s: WireInfo = %+v, want %+v", tc.label, info, want)
+		}
+		if got := echo(t, peer, "m", "payload"); got != "m:payload" {
+			t.Errorf("%s: resp = %q", tc.label, got)
+		}
+		peer.Close()
+		srv.Close()
+	}
+}
+
+// sendHello writes a hello request with the given body on conn, framed
+// as a dialer would, and returns the server's status and payload.
+func sendHello(t *testing.T, conn net.Conn, body string) (byte, string) {
+	t.Helper()
+	w := bufio.NewWriter(conn)
+	if err := writeFrame(w, []byte(MethodHello)); err != nil {
+		t.Fatal(err)
+	}
+	var deadline [8]byte
+	w.Write(deadline[:])
+	if err := writeFrame(w, []byte(body)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := bufio.NewReader(conn)
+	status, err := r.ReadByte()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := readFrameReuse(r, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return status, string(payload)
+}
+
+// TestServerRefusesForeignHello: a hello naming gob, an unknown codec, or
+// a codec list, and a hello that does not parse, each get an error reply
+// naming what arrived, and the server then closes the connection.
+func TestServerRefusesForeignHello(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0", echoHandler)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	name := stringCodec{}.Name()
+	for _, tc := range []struct{ body, want string }{
+		{helloMagic + " gob gzip,trace", `"gob"`},
+		{helloMagic + " dits-bin/9 -", `"dits-bin/9"`},
+		{helloMagic + " " + name + ",gob gzip", `"` + name + `,gob"`},
+		{"dits-hello/0 " + name + " -", "malformed hello"},
+		{"hello?", "malformed hello"},
+		{"", "malformed hello"},
+	} {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		status, payload := sendHello(t, conn, tc.body)
+		if status != 1 || !strings.Contains(payload, tc.want) {
+			t.Errorf("hello %q: status %d, reply %q; want an error naming %s", tc.body, status, payload, tc.want)
+		}
+		if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+			t.Errorf("hello %q: connection still open after refusal (read err %v)", tc.body, err)
+		}
+		conn.Close()
+	}
 
-	peer, err := DialWith("s1", srv.Addr(), &Metrics{}, DialConfig{Codec: reverse.Name()})
+	// The one accepted form echoes the codec and the granted options.
+	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer peer.Close()
-	if info := peer.WireInfo(); info.Codec != reverse.Name() || !info.Compression {
-		t.Fatalf("WireInfo = %+v, want %s with compression", info, reverse.Name())
-	}
-	if got := echo(t, peer, "m", "payload"); got != "m:payload" {
-		t.Fatalf("resp = %q", got)
-	}
-
-	// Unknown forced codec must fail the dial, not silently fall back.
-	if _, err := DialWith("s1", srv.Addr(), &Metrics{}, DialConfig{Codec: "no-such-codec/9"}); err == nil {
-		t.Fatal("dial with unknown codec should error")
-	}
-
-	// NoCompress on either side disables compression but keeps the codec.
-	plain, err := DialWith("s1", srv.Addr(), &Metrics{}, DialConfig{NoCompress: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
-	if info := plain.WireInfo(); info.Compression {
-		t.Fatalf("NoCompress dial negotiated compression: %+v", info)
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if status, payload := sendHello(t, conn, helloMagic+" "+name+" gzip"); status != 0 || payload != name+" gzip" {
+		t.Fatalf("valid hello: status %d, reply %q", status, payload)
 	}
 }
 
-// TestTCPLegacyInterop pins the gob fallback in both directions: a modern
-// dialer against a server that predates the handshake (NoNegotiate) and a
-// legacy dialer (NoNegotiate) against a modern server both land on plain
-// gob and still exchange requests.
-func TestTCPLegacyInterop(t *testing.T) {
-	t.Run("legacy server", func(t *testing.T) {
-		srv, err := ServeWith("127.0.0.1:0", echoHandler, ServeConfig{NoNegotiate: true})
+// TestDialRefusesForeignHelloReply: against a server that rejects the
+// hello, or answers with any codec but the installed one, the dial fails
+// with an error naming the codec instead of speaking something else.
+func TestDialRefusesForeignHelloReply(t *testing.T) {
+	name := stringCodec{}.Name()
+	for _, tc := range []struct {
+		status      byte
+		reply, want string
+	}{
+		{1, "unknown method transport.hello", name},
+		{0, "gob gzip", "gob"},
+		{0, "dits-bin/9 gzip trace", "dits-bin/9"},
+		{0, "", name},
+	} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer srv.Close()
-		peer, err := Dial("s1", srv.Addr(), &Metrics{})
-		if err != nil {
-			t.Fatal(err)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			r := bufio.NewReader(conn)
+			if _, err := readFrameReuse(r, nil); err != nil { // method
+				return
+			}
+			if _, err := io.ReadFull(r, make([]byte, 8)); err != nil { // deadline
+				return
+			}
+			if _, err := readFrameReuse(r, nil); err != nil { // body
+				return
+			}
+			writeResponse(bufio.NewWriter(conn), tc.status, []byte(tc.reply))
+			io.Copy(io.Discard, conn) // hold the connection until the dialer drops it
+		}()
+		peer, err := Dial("s1", ln.Addr().String(), &Metrics{})
+		if err == nil {
+			peer.Close()
+			t.Errorf("reply %d %q: dial succeeded", tc.status, tc.reply)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("reply %d %q: dial err = %v, want an error naming %q", tc.status, tc.reply, err, tc.want)
 		}
-		defer peer.Close()
-		if info := peer.WireInfo(); info.Codec != CodecGob || info.Compression {
-			t.Fatalf("WireInfo = %+v, want plain gob fallback", info)
-		}
-		if got := echo(t, peer, "m", "x"); got != "m:x" {
-			t.Fatalf("resp = %q", got)
-		}
-	})
-	t.Run("legacy dialer", func(t *testing.T) {
-		srv, err := Serve("127.0.0.1:0", echoHandler)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		peer, err := DialWith("s1", srv.Addr(), &Metrics{}, DialConfig{NoNegotiate: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer peer.Close()
-		if info := peer.WireInfo(); info.Codec != CodecGob || info.Compression {
-			t.Fatalf("WireInfo = %+v, want plain gob", info)
-		}
-		if got := echo(t, peer, "m", "x"); got != "m:x" {
-			t.Fatalf("resp = %q", got)
-		}
-	})
+		ln.Close()
+		<-done
+	}
 }
 
 // TestTCPCompressionRoundTrip ships a payload far above compressMin and
@@ -425,29 +474,51 @@ func TestTCPServerClosedRejects(t *testing.T) {
 	peer.Close()
 }
 
-// reverseCodec is a registrable toy codec for negotiation tests: gob with
-// every payload byte-reversed, so accidental gob fallback is detectable.
-type reverseCodec struct{}
+// stringCodec stands in for the federation's codec, which transport
+// cannot import: it carries strings as their raw bytes.
+type stringCodec struct{}
 
-func (reverseCodec) Name() string { return "test-reverse/1" }
+func init() { InstallCodec(stringCodec{}) }
 
-func (reverseCodec) Append(dst []byte, v any) ([]byte, error) {
-	start := len(dst)
-	out, err := GobCodec.Append(dst, v)
-	if err != nil {
-		return dst, err
+func (stringCodec) Name() string { return "test-string/1" }
+
+func (stringCodec) Append(dst []byte, v any) ([]byte, error) {
+	switch s := v.(type) {
+	case nil:
+		return dst, nil
+	case *string:
+		return append(dst, *s...), nil
 	}
-	tail := out[start:]
-	for i, j := 0, len(tail)-1; i < j; i, j = i+1, j-1 {
-		tail[i], tail[j] = tail[j], tail[i]
-	}
-	return out, nil
+	return dst, fmt.Errorf("stringCodec: cannot encode %T", v)
 }
 
-func (reverseCodec) Decode(data []byte, v any) error {
-	rev := make([]byte, len(data))
-	for i, b := range data {
-		rev[len(data)-1-i] = b
+func (stringCodec) Decode(data []byte, v any) error {
+	switch s := v.(type) {
+	case nil:
+	case *string:
+		*s = string(data)
+	default:
+		return fmt.Errorf("stringCodec: cannot decode into %T", v)
 	}
-	return GobCodec.Decode(rev, v)
+	return nil
 }
+
+// TestInstallCodec: reinstalling the installed codec is a no-op (so
+// repeated test runs and init orders never trip it), while a second,
+// different codec panics.
+func TestInstallCodec(t *testing.T) {
+	InstallCodec(stringCodec{})
+	if got := wireCodec(); got != (stringCodec{}) {
+		t.Fatalf("installed codec = %v", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("installing a second codec did not panic")
+		}
+	}()
+	InstallCodec(otherCodec{})
+}
+
+type otherCodec struct{ stringCodec }
+
+func (otherCodec) Name() string { return "test-other/1" }
